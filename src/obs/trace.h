@@ -65,13 +65,13 @@ struct TraceEvent {
 /// Fixed-size lock-free overwriting span ring with deterministic 1-in-N
 /// sampling.
 ///
-/// Write path: one relaxed fetch_add on the ring cursor plus six relaxed
-/// stores behind a per-cell seqlock version — wait-free, allocation-free,
-/// safe from the executor, the planning lanes, and producer threads
-/// concurrently. When the ring wraps, old spans are overwritten; if two
-/// writers ever collide on the same cell a full wrap apart, the seqlock
-/// keeps the data race benign (readers discard cells whose version is odd
-/// or changed mid-read) at the cost of dropping that cell. Tracing is
+/// Write path: one relaxed fetch_add on the ring cursor, one CAS claiming
+/// the cell's seqlock version, and six relaxed stores — wait-free,
+/// allocation-free, safe from the executor, the planning lanes, and
+/// producer threads concurrently. When the ring wraps, old spans are
+/// overwritten; if two writers ever collide on the same cell a full wrap
+/// apart, the later one fails the claim and drops its span, and readers
+/// discard cells whose version is odd or changed mid-read. Tracing is
 /// best-effort by design: it must never block or perturb the pipeline.
 ///
 /// Track-id scheme (rendered as Chrome trace tids):

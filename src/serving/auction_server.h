@@ -40,18 +40,6 @@ enum class ServingMode {
   kBatchedSettlement,
 };
 
-/// Which ingestion queue the server runs on.
-enum class QueueImpl {
-  /// BoundedQueue: mutex + condvars, supports every backpressure policy.
-  kLocking,
-  /// MpmcRingQueue: lock-free Vyukov ring; producers never touch a mutex.
-  /// Supports only BackpressurePolicy::kReject (a lock-free ring can
-  /// neither block a producer nor atomically evict its oldest element);
-  /// the executor polls with a yield-then-sleep backoff instead of waiting
-  /// on a condvar.
-  kLockFree,
-};
-
 /// One admitted query: what travels through the ingestion queue.
 struct ServingRequest {
   Query query;
@@ -92,12 +80,14 @@ struct DurabilityConfig {
   /// Settlement-log sink: every settled auction is appended as a sequenced,
   /// checksummed record. Empty = durability off.
   std::string log_path;
+  /// Group commit fills up to `writer.group_records` under load; whenever
+  /// the executor finds the queue empty after a batch it commits the
+  /// partial group, so followers never wait on a group that may not fill.
   LogWriterOptions writer;
   /// Checkpoint file recovery rewinds to (and WriteCheckpoint() targets).
-  /// Empty or missing = recover by replaying the whole log.
+  /// Empty or missing = recover by replaying the whole log. Start() always
+  /// runs restore-then-replay when a log path is set.
   std::string checkpoint_path;
-  /// Run restore-then-replay in Start() before the executor launches.
-  bool recover_on_start = true;
   /// Test hook threaded into the log writer (crash/corruption injection).
   /// Not owned; null in production.
   FaultInjector* injector = nullptr;
@@ -109,23 +99,20 @@ struct ServerConfig {
   /// `engine.pool` is the same pool the shard phase of every planned
   /// auction runs on — the server adds no pool of its own.
   ShardedEngineConfig engine;
-  /// Ingestion bound. Exact under QueueImpl::kLocking; under kLockFree the
-  /// ring rounds it *up to the next power of two*, so the reject threshold
-  /// can admit up to ~2x this value — size it as a power of two when the
-  /// bound matters.
+  /// Ingestion bound (exact).
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  QueueImpl queue_impl = QueueImpl::kLocking;
   /// Micro-batch triggers: a batch closes when it holds `max_batch_size`
   /// requests or `batch_deadline` has elapsed since its first request was
   /// popped, whichever comes first.
   int max_batch_size = 16;
   std::chrono::microseconds batch_deadline{200};
   ServingMode mode = ServingMode::kDeterministicReplay;
-  /// Planning lanes E. 0 = the executor plans in-thread (the pre-lane
-  /// executor, byte for byte). E >= 1 replicates the *pure* half of planning
-  /// across E worker threads, each owning a private PlanLane scratch arena
-  /// (compiled-bids caches, revenue matrix, top-k heaps): the executor
+  /// Planning lanes E. 0 = the executor plans in-thread on the engine's
+  /// internal lane (capture + plan in one PlanAuction call). E >= 1
+  /// replicates the *pure* half of planning across E worker threads, each
+  /// owning a private PlanLane scratch arena (compiled-bids caches, revenue
+  /// matrix, top-k heaps): the executor
   /// captures bids strictly in arrival order (bidding programs may mutate
   /// their private state, so capture cannot parallelize), hands each
   /// captured slot to any idle lane, and settles through an ordered commit
@@ -223,9 +210,9 @@ class AuctionServer {
   }
 
   /// Admission / completion counters.
-  int64_t accepted() const;
-  int64_t rejected() const;
-  int64_t dropped_oldest() const;
+  int64_t accepted() const { return queue_.accepted(); }
+  int64_t rejected() const { return queue_.rejected(); }
+  int64_t dropped_oldest() const { return queue_.dropped_oldest(); }
   int64_t completed() const {
     return completed_.load(std::memory_order_relaxed);
   }
@@ -240,8 +227,7 @@ class AuctionServer {
   const ServerConfig& config() const { return config_; }
 
   // --- Durability telemetry -----------------------------------------------
-  /// What Start()'s recovery did (zeroes when durability is off or
-  /// recover_on_start was false).
+  /// What Start()'s recovery did (zeroes when durability is off).
   const RecoveryReport& recovery() const { return recovery_; }
   /// Auctions settled since the checkpoint recovery restored (== the replay
   /// cost of a crash right now, in auctions).
@@ -285,19 +271,22 @@ class AuctionServer {
 
  private:
   void ExecutorLoop();
-  /// Lock-free analogue of BoundedQueue::PopBatch: poll with backoff for
-  /// the first request, then drain until full batch, deadline, or closed.
-  bool PopBatchLockFree(std::vector<ServingRequest>* out);
+  /// One epoch == one micro-batch, run as a slot pipeline: every slot is
+  /// started (StartSlot) and finished (SettleSlot) in arrival order.
+  /// kDeterministicReplay finishes each slot before starting the next;
+  /// kBatchedSettlement starts every slot, then finishes every slot.
   void RunBatch(std::vector<ServingRequest>* batch);
-  /// The lane-pool epoch pipeline (num_plan_lanes >= 1): capture in arrival
-  /// order, plan on any idle lane, settle through the commit barrier in
-  /// arrival order.
-  void RunBatchWithLanes(std::vector<ServingRequest>* batch);
+  /// Starts epoch slot `i`: with lanes, captures its bids on the executor
+  /// and dispatches the pure plan to any idle lane; without, plans it
+  /// in-thread (capture + plan on the engine's internal lane).
+  void StartSlot(const ServingRequest& r, size_t i);
   /// Lane worker body: plans epoch slot `slot` on lane `lane`'s scratch,
   /// then marks the slot ready for the settler.
   void RunLane(int lane, int64_t slot);
-  /// Settles epoch slot `i` of `batch` (histograms, log, completion hook).
-  void SettleSlot(std::vector<ServingRequest>* batch, size_t i);
+  /// Finishes epoch slot `i`: awaits its plan at the commit barrier (lanes
+  /// only), then settles it — histograms, log append, completion hook. The
+  /// single settlement path of the server.
+  void SettleSlot(const ServingRequest& r, size_t i);
   /// Epoch-boundary rebalance check: runs between RunBatch calls (batch
   /// fully settled, every lane idle), asks the rebalancer whether a check is
   /// due, and applies RebalanceShards under config.rebalance.min_imbalance.
@@ -315,20 +304,13 @@ class AuctionServer {
   ServerConfig config_;
   ShardedAuctionEngine engine_;
   ShardRebalancer rebalancer_;
-  std::unique_ptr<BoundedQueue<ServingRequest>> locking_queue_;
-  std::unique_ptr<MpmcRingQueue<ServingRequest>> ring_;
-  std::atomic<bool> ring_closed_{false};
-  /// Lock-free Submits currently between their closed-check and their
-  /// TryPush return. The executor exits only once this is zero *and* the
-  /// ring is drained, so a producer that raced past the closed-check cannot
-  /// strand an accepted request (Stop()'s drain contract).
-  std::atomic<int64_t> submits_in_flight_{0};
-  std::atomic<int64_t> ring_accepted_{0};
-  std::atomic<int64_t> ring_rejected_{0};
+  BoundedQueue<ServingRequest> queue_;
 
   /// Appends the settled outcome to the log sink (no-op when off); records
   /// the first failure in log_status_. Executor thread only.
   void LogSettlement(const AuctionOutcome& outcome, uint64_t trace_seq);
+  /// Keeps the first log error in log_status_.
+  void RecordLogStatus(const Status& status);
 
   CompletionFn on_complete_;
   std::thread executor_;
@@ -365,27 +347,28 @@ class AuctionServer {
   std::vector<LatencyHistogram*> lane_barrier_wait_us_;
   std::vector<Counter*> lane_plans_total_;
 
-  /// Batched-settlement scratch: one plan per in-flight batch slot.
+  // --- Epoch state: one entry per slot of the open micro-batch ------------
+  // Per-slot state is written by exactly one party at a time. Without lanes
+  // everything runs on the executor. With lanes, the executor fills
+  // captures_[i]/capture_us_[i] before Dispatch(i) (publication via the
+  // lane pool's queue mutex); the owning lane fills plans_[i]/plan_us_[i]
+  // before MarkReady(i) (publication via the barrier mutex); the executor
+  // reads them after AwaitReady(i). No slot is touched concurrently, which
+  // is the whole TSan story.
   std::vector<ShardedAuctionEngine::PlannedAuction> plans_;
-
-  // --- Planning-lane epoch state (num_plan_lanes >= 1 only) ----------------
-  // One epoch == one micro-batch. Per-slot state is written by exactly one
-  // party at a time: the executor fills captures_[i]/capture_us_[i] before
-  // Dispatch(i) (publication via the lane pool's queue mutex); the owning
-  // lane fills plans_[i]/plan_us_[i] before MarkReady(i) (publication via
-  // the barrier mutex); the executor reads them after AwaitReady(i). No slot
-  // is touched concurrently, which is the whole TSan story.
+  /// Planning time per slot, split by where it ran: capture_us_ on the
+  /// executor (lanes only), plan_us_ wherever the plan was computed (the
+  /// whole PlanAuction without lanes). auction_us records their sum.
+  std::vector<uint64_t> capture_us_;
+  std::vector<uint64_t> plan_us_;
   std::vector<std::unique_ptr<ShardedAuctionEngine::PlanLane>> lanes_;
   OrderedCommitBarrier settle_barrier_;
   std::vector<ShardedAuctionEngine::CapturedBids> captures_;
-  std::vector<uint64_t> capture_us_;
-  std::vector<uint64_t> plan_us_;
   /// Which lane planned each epoch slot — written by the owning lane before
   /// MarkReady, read by the executor after AwaitReady (the barrier mutex
   /// publishes it), attributing barrier waits per lane.
   std::vector<int> slot_lane_;
-  /// The batch the open epoch is serving; valid between the first
-  /// Dispatch and the last AwaitReady of the epoch.
+  /// The batch the open epoch is serving; valid for the whole of RunBatch.
   std::vector<ServingRequest>* epoch_batch_ = nullptr;
   /// Declared last so it is destroyed first: the pool's destructor joins
   /// the lane workers, which may still be finishing a MarkReady on

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "auction/metrics.h"
+#include "auction/auction_engine.h"
 #include "strategy/position_strategies.h"
 #include "strategy/roi_strategy.h"
 #include "strategy/program_strategy.h"
@@ -116,39 +116,6 @@ TEST(BudgetedStrategyTest, StopsAtBudget) {
     max_click_price = std::max(max_click_price, v);
   }
   EXPECT_LE(spent, kBudget + max_click_price);
-}
-
-TEST(MetricsTest, AggregatesCampaign) {
-  WorkloadConfig wc;
-  wc.num_advertisers = 20;
-  wc.num_slots = 4;
-  wc.num_keywords = 3;
-  wc.seed = 31;
-  Workload workload = MakePaperWorkload(wc);
-  auto strategies = RoiStrategies(workload, 0, wc.num_advertisers);
-  EngineConfig ec;
-  ec.seed = 32;
-  AuctionEngine engine(ec, std::move(workload), std::move(strategies));
-
-  CampaignMetrics metrics;
-  Money revenue = 0;
-  for (int t = 0; t < 300; ++t) {
-    const AuctionOutcome& out = engine.RunAuction();
-    metrics.Record(out);
-    revenue += out.revenue_charged;
-  }
-  EXPECT_EQ(metrics.auctions(), 300);
-  EXPECT_DOUBLE_EQ(metrics.revenue(), revenue);
-  EXPECT_GT(metrics.impressions(), 0);
-  EXPECT_GE(metrics.impressions(), metrics.clicks());
-  EXPECT_GE(metrics.ClickThroughRate(), 0.0);
-  EXPECT_LE(metrics.ClickThroughRate(), 1.0);
-  EXPECT_LE(metrics.FillRate(wc.num_slots), 1.0);
-  EXPECT_FALSE(metrics.Report(wc.num_slots).empty());
-  // Slot CTR should decrease with slot position (the slot-interval model).
-  const auto& imp = metrics.slot_impressions();
-  ASSERT_GE(imp.size(), 2u);
-  EXPECT_GT(imp[0], 0);
 }
 
 // Section II-B notification triggers: a program reacts to clicks by

@@ -929,6 +929,44 @@ TEST(LeaderIntegrationTest, SettledSeqTokenAndDurabilityGauges) {
   EXPECT_TRUE(saw_truncated);
 }
 
+/// A partial group commit must not strand records in the writer's buffer:
+/// with group_records = 8, ten settled auctions leave two records staged,
+/// and the executor commits them once it finds the queue empty — so a
+/// follower reaches the latest settled_seq() while the leader still runs.
+TEST(LeaderIntegrationTest, PartialGroupReachesFollowerWhileServing) {
+  const std::string log_path = FreshPath("leader_partial_group_log");
+
+  ServerConfig config;
+  config.engine = ReplicaEngineConfig(2);
+  config.durability.log_path = log_path;
+  config.durability.writer.sync = LogSyncMode::kBuffered;
+  config.durability.writer.group_records = 8;
+
+  Workload workload = MakePaperWorkload(SmallConfig(kWorkloadSeed));
+  auto strategies = RoiStrategies(workload);
+  AuctionServer server(config, std::move(workload), std::move(strategies));
+  ASSERT_TRUE(server.Start().ok());
+
+  FollowerConfig follower_config;
+  follower_config.engine = ReplicaEngineConfig(1);
+  follower_config.log_path = log_path;
+  Workload w = MakePaperWorkload(SmallConfig(kWorkloadSeed));
+  auto s = RoiStrategies(w);
+  FollowerEngine follower(follower_config, std::move(w), std::move(s));
+  ASSERT_TRUE(follower.Start().ok());
+
+  QueryGenerator gen(SmallConfig(kWorkloadSeed).num_keywords, kEngineSeed);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_EQ(server.Submit(gen.Next()), QueuePushResult::kAccepted);
+  }
+  EXPECT_TRUE(follower.WaitForSeq(10, milliseconds(10000)));
+  EXPECT_EQ(server.settled_seq(), 10u);
+  EXPECT_TRUE(follower.status().ok());
+  follower.Stop();
+  server.Stop();
+  std::remove(log_path.c_str());
+}
+
 /// End-to-end: a serving leader with followers tailing its live log — the
 /// deployment shape docs/ARCHITECTURE.md §5 describes. Submits in waves,
 /// uses the settled_seq token for read-your-writes, and pins the follower

@@ -129,29 +129,6 @@ TEST(ServingDrainTest, StopDrainsEveryAdmittedRequestLockingQueue) {
   EXPECT_EQ(server->engine().auctions_run(), admitted);
 }
 
-TEST(ServingDrainTest, StopDrainsEveryAdmittedRequestLockFreeQueue) {
-  ServerConfig config;
-  config.engine.num_shards = 2;
-  config.queue_capacity = 64;
-  config.backpressure = BackpressurePolicy::kReject;
-  config.queue_impl = QueueImpl::kLockFree;
-  config.max_batch_size = 8;
-  auto server = MakeServer(config);
-  ASSERT_TRUE(server->Start().ok());
-
-  const int kProducers = 4;
-  const int kPerProducer = 2000;
-  SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
-  server->Stop();
-
-  ASSERT_EQ(tally.total(), kProducers * kPerProducer);
-  const int64_t admitted = tally.accepted;
-  EXPECT_EQ(server->accepted(), admitted);
-  EXPECT_EQ(server->rejected(), tally.rejected);
-  EXPECT_EQ(server->completed(), admitted);
-  EXPECT_EQ(server->engine().auctions_run(), admitted);
-}
-
 /// The lane pipeline under full producer pressure: 4 lane workers planning
 /// concurrently with the executor capturing/settling, both serving modes,
 /// every admitted request settled exactly once. This is the TSan target for
@@ -194,8 +171,6 @@ TEST(ServingDrainTest, ProducersRacingStopNeverStrandAdmittedRequests) {
     config.engine.num_shards = 2;
     config.queue_capacity = 32;
     config.backpressure = BackpressurePolicy::kReject;
-    config.queue_impl =
-        trial % 2 == 0 ? QueueImpl::kLocking : QueueImpl::kLockFree;
     config.max_batch_size = 4;
     config.num_plan_lanes = trial / 2;  // 0, 0, 1, 1, 2, 2, 3, 3
     auto server = MakeServer(config);
@@ -223,8 +198,8 @@ TEST(ServingDrainTest, ProducersRacingStopNeverStrandAdmittedRequests) {
     for (const SubmitTally& t : tallies) {
       admitted += t.accepted + t.dropped_oldest;
     }
-    // Every admission either pre-dates the close (drained) or is the
-    // lock-free in-flight race Stop() explicitly waits out. Either way:
+    // Every admission pre-dates the close (Push checks closed under the
+    // queue mutex), so the executor drains it before exiting:
     EXPECT_EQ(server->completed(), admitted - server->dropped_oldest());
     EXPECT_EQ(server->engine().auctions_run(), server->completed());
   }
@@ -266,32 +241,29 @@ TEST(ServingBackpressureTest, ConcurrentDropOldestConservesRequests) {
 /// kReject under producer pressure: accepted + rejected == submitted, and
 /// every accepted request is settled.
 TEST(ServingBackpressureTest, ConcurrentRejectConservesRequests) {
-  for (QueueImpl impl : {QueueImpl::kLocking, QueueImpl::kLockFree}) {
-    ServerConfig config;
-    config.engine.num_shards = 2;
-    config.queue_capacity = 4;
-    config.backpressure = BackpressurePolicy::kReject;
-    config.queue_impl = impl;
-    config.max_batch_size = 2;
-    auto server = MakeServer(config);
-    ASSERT_TRUE(server->Start().ok());
+  ServerConfig config;
+  config.engine.num_shards = 2;
+  config.queue_capacity = 4;
+  config.backpressure = BackpressurePolicy::kReject;
+  config.max_batch_size = 2;
+  auto server = MakeServer(config);
+  ASSERT_TRUE(server->Start().ok());
 
-    const int kProducers = 4;
-    const int kPerProducer = 1500;
-    SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
-    server->Stop();
+  const int kProducers = 4;
+  const int kPerProducer = 1500;
+  SubmitTally tally = HammerSubmit(server.get(), kProducers, kPerProducer);
+  server->Stop();
 
-    const int64_t submitted = kProducers * kPerProducer;
-    ASSERT_EQ(tally.total(), submitted);
-    EXPECT_EQ(tally.dropped_oldest, 0);
-    EXPECT_EQ(tally.closed, 0);
-    EXPECT_EQ(tally.accepted + tally.rejected, submitted);
-    EXPECT_EQ(server->accepted(), tally.accepted);
-    EXPECT_EQ(server->rejected(), tally.rejected);
-    EXPECT_GT(server->rejected(), 0);
-    EXPECT_EQ(server->completed(), tally.accepted);
-    EXPECT_EQ(server->engine().auctions_run(), server->completed());
-  }
+  const int64_t submitted = kProducers * kPerProducer;
+  ASSERT_EQ(tally.total(), submitted);
+  EXPECT_EQ(tally.dropped_oldest, 0);
+  EXPECT_EQ(tally.closed, 0);
+  EXPECT_EQ(tally.accepted + tally.rejected, submitted);
+  EXPECT_EQ(server->accepted(), tally.accepted);
+  EXPECT_EQ(server->rejected(), tally.rejected);
+  EXPECT_GT(server->rejected(), 0);
+  EXPECT_EQ(server->completed(), tally.accepted);
+  EXPECT_EQ(server->engine().auctions_run(), server->completed());
 }
 
 }  // namespace

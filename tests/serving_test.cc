@@ -1,6 +1,6 @@
 // AuctionServer contract tests. The load-bearing one is deterministic
 // replay: a fixed query sequence served through the async subsystem — any
-// batch size, any shard count, any pool, either queue implementation — must
+// batch size, any shard count, any pool, any lane count — must
 // settle bitwise-identically to the serial AuctionEngine loop. Batching and
 // queuing may only change *when* work happens, never *what* it computes.
 
@@ -110,8 +110,6 @@ struct ReplayParam {
   int max_batch = 1;
   int num_shards = 1;
   int pool_threads = 0;  // 0 = no pool
-  QueueImpl queue_impl = QueueImpl::kLocking;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   int num_plan_lanes = 0;  // 0 = in-thread planning
   int64_t rebalance_every = 0;  // 0 = epoch-boundary rebalancing off
   bool full_tracing = false;  // trace every query (sample_every = 1)
@@ -141,8 +139,7 @@ void RunReplayEquivalence(const ReplayParam& param) {
   config.engine.num_shards = param.num_shards;
   config.engine.pool = pool.get();
   config.queue_capacity = 256;
-  config.backpressure = param.backpressure;
-  config.queue_impl = param.queue_impl;
+  config.backpressure = BackpressurePolicy::kBlock;
   config.max_batch_size = param.max_batch;
   config.batch_deadline = microseconds(100);
   config.mode = ServingMode::kDeterministicReplay;
@@ -186,39 +183,21 @@ TEST(ServingReplayTest, LargeBatchManyShardsTreeMerge) {
       {/*max_batch=*/64, /*num_shards=*/8, /*pool_threads=*/4});
 }
 
-TEST(ServingReplayTest, LockFreeQueueReplay) {
-  ReplayParam param;
-  param.max_batch = 8;
-  param.num_shards = 2;
-  param.pool_threads = 2;
-  param.queue_impl = QueueImpl::kLockFree;
-  param.backpressure = BackpressurePolicy::kReject;  // ring is reject-only
-  RunReplayEquivalence(param);
-}
-
 TEST(ServingLaneReplayTest, MatrixMatchesSerialEngineBitwise) {
   // The lane-count half of the determinism contract: replaying through E
   // planning lanes — every lane with its own caches, heaps, and matrix
   // arena — must reproduce the serial engine loop bitwise, for every
-  // E x shard-count x queue-implementation combination. Per-lane cache
-  // divergence (different lanes see different slots) may only move time,
-  // never values.
+  // E x shard-count combination. Per-lane cache divergence (different
+  // lanes see different slots) may only move time, never values.
   for (int lanes : {1, 2, 4, 8}) {
     for (int shards : {1, 4}) {
-      for (QueueImpl queue : {QueueImpl::kLocking, QueueImpl::kLockFree}) {
-        SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                     " shards=" + std::to_string(shards) + " queue=" +
-                     (queue == QueueImpl::kLocking ? "locking" : "lockfree"));
-        ReplayParam param;
-        param.max_batch = 8;
-        param.num_shards = shards;
-        param.queue_impl = queue;
-        param.backpressure = queue == QueueImpl::kLockFree
-                                 ? BackpressurePolicy::kReject
-                                 : BackpressurePolicy::kBlock;
-        param.num_plan_lanes = lanes;
-        RunReplayEquivalence(param);
-      }
+      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
+                   " shards=" + std::to_string(shards));
+      ReplayParam param;
+      param.max_batch = 8;
+      param.num_shards = shards;
+      param.num_plan_lanes = lanes;
+      RunReplayEquivalence(param);
     }
   }
 }
@@ -239,23 +218,16 @@ TEST(ServingRebalanceTest, ReplayMatrixStaysBitwiseWithRebalancingEnabled) {
   // The serving half of the rebalancing contract: with epoch-boundary
   // rebalancing churning the shard layout mid-stream (every 8 auctions, any
   // imbalance), deterministic replay must stay bitwise-equal to the serial
-  // engine — across lane counts and both queue implementations. Rebalancing
-  // may move work between shards, never values.
+  // engine — across lane counts. Rebalancing may move work between shards,
+  // never values.
   for (int lanes : {0, 2, 4}) {
-    for (QueueImpl queue : {QueueImpl::kLocking, QueueImpl::kLockFree}) {
-      SCOPED_TRACE("lanes=" + std::to_string(lanes) + " queue=" +
-                   (queue == QueueImpl::kLocking ? "locking" : "lockfree"));
-      ReplayParam param;
-      param.max_batch = 8;
-      param.num_shards = 4;
-      param.queue_impl = queue;
-      param.backpressure = queue == QueueImpl::kLockFree
-                               ? BackpressurePolicy::kReject
-                               : BackpressurePolicy::kBlock;
-      param.num_plan_lanes = lanes;
-      param.rebalance_every = 8;
-      RunReplayEquivalence(param);
-    }
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    ReplayParam param;
+    param.max_batch = 8;
+    param.num_shards = 4;
+    param.num_plan_lanes = lanes;
+    param.rebalance_every = 8;
+    RunReplayEquivalence(param);
   }
 }
 
@@ -340,6 +312,42 @@ TEST(ServingObservabilityTest, MetricsAndTraceExposePipelineSignals) {
   EXPECT_NE(chrome.find("\"barrier_wait\""), std::string::npos);
   EXPECT_NE(chrome.find("\"shard_plan\""), std::string::npos);
   EXPECT_NE(chrome.find("shard 1 capture"), std::string::npos);
+}
+
+TEST(ServingObservabilityTest, EngineAndLaneGaugesNonZeroWithLanesOn) {
+  // With planning lanes on, every plan runs on a PlanLane, never on the
+  // engine's internal lane: the engine-wide shard-phase and cache gauges
+  // must sum the lanes, or they read 0 exactly when lanes are in use.
+  Workload w = MakePaperWorkload(SmallConfig(131));
+  const std::vector<Query> queries =
+      MakeQuerySequence(200, w.config.num_keywords, 137);
+  ServerConfig config;
+  config.engine.engine.seed = 137;
+  config.engine.num_shards = 2;
+  config.max_batch_size = 8;
+  config.num_plan_lanes = 2;
+  auto strategies = RoiStrategies(w);
+  AuctionServer server(config, std::move(w), std::move(strategies));
+  ASSERT_TRUE(server.Start().ok());
+  for (const Query& q : queries) {
+    ASSERT_EQ(server.Submit(q), QueuePushResult::kAccepted);
+  }
+  server.Stop();
+
+  int shard_gauges = 0, lane_gauges = 0;
+  for (const MetricSample& sample : server.metrics().Snapshot().samples) {
+    const bool shard = sample.name.rfind("engine_shard_", 0) == 0;
+    const bool lane = sample.name.rfind("lane_", 0) == 0;
+    const bool cache = sample.name.rfind("engine_cache_", 0) == 0;
+    if (!shard && !lane && !cache) continue;
+    shard_gauges += shard;
+    lane_gauges += lane;
+    EXPECT_GT(sample.value, 0) << sample.name << "{" << sample.labels << "}";
+  }
+  // capture_ns, phase_ns, model_cost, advertisers per shard; cache hits and
+  // misses per lane.
+  EXPECT_EQ(shard_gauges, 4 * 2);
+  EXPECT_EQ(lane_gauges, 2 * 2);
 }
 
 TEST(ServingRebalanceTest, RebalanceKeepsValidPartitionAndFeedsCostModel) {
@@ -566,27 +574,6 @@ TEST(ServingBackpressureTest, DropOldestKeepsFreshest) {
   server.Stop();
   // The six oldest were evicted; queries 7..10 (1-based times) survive.
   EXPECT_EQ(served_times, (std::vector<int64_t>{7, 8, 9, 10}));
-}
-
-TEST(ServingBackpressureTest, LockFreeRejectCountsDeterministically) {
-  Workload w = MakePaperWorkload(SmallConfig(47));
-  const std::vector<Query> queries =
-      MakeQuerySequence(11, w.config.num_keywords, 53);
-  ServerConfig config;
-  config.engine.engine.seed = 53;
-  config.queue_capacity = 8;  // ring capacity is exact at powers of two
-  config.queue_impl = QueueImpl::kLockFree;
-  config.backpressure = BackpressurePolicy::kReject;
-  AuctionServer server(config, std::move(w), [] {
-    Workload tmp = MakePaperWorkload(SmallConfig(47));
-    return RoiStrategies(tmp);
-  }());
-  for (const Query& q : queries) server.Submit(q);
-  EXPECT_EQ(server.accepted(), 8);
-  EXPECT_EQ(server.rejected(), 3);
-  server.Start();
-  server.Stop();
-  EXPECT_EQ(server.completed(), 8);
 }
 
 TEST(ServingTelemetryTest, StageHistogramsCoverEveryServedQuery) {

@@ -10,7 +10,6 @@
 #include "util/epoch.h"
 #include "util/rng.h"
 #include "util/sorted_list.h"
-#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/topk_heap.h"
@@ -62,24 +61,6 @@ TEST(RngTest, UniformIntInclusiveBounds) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
-}
-
-TEST(StatsTest, MeanVarianceMinMax) {
-  SummaryStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(StatsTest, Percentiles) {
-  SummaryStats s;
-  for (int i = 1; i <= 100; ++i) s.Add(i);
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-  EXPECT_NEAR(s.Percentile(50), 50.5, 1e-9);
 }
 
 TEST(StatusTest, OkAndErrors) {
@@ -231,7 +212,7 @@ TEST(TopKHeapSetTest, CapacityBeyondPopulationKeepsEverything) {
 TEST(TopKHeapSetTest, TiedWeightsBreakByIdDescending) {
   // The documented stable tie-break: among equal weights the larger id
   // ranks higher, independent of insertion order.
-  for (const std::vector<AdvertiserId> order :
+  for (const std::vector<AdvertiserId>& order :
        {std::vector<AdvertiserId>{1, 2, 3, 4, 5},
         std::vector<AdvertiserId>{5, 4, 3, 2, 1},
         std::vector<AdvertiserId>{3, 1, 5, 2, 4}}) {
