@@ -55,7 +55,7 @@ void SettleAuction(
   }
 }
 
-AuctionEngine::AuctionEngine(
+AuctionTrajectory::AuctionTrajectory(
     const EngineConfig& config, Workload workload,
     std::vector<std::unique_ptr<BiddingStrategy>> strategies)
     : config_(config),
@@ -64,100 +64,17 @@ AuctionEngine::AuctionEngine(
       query_gen_(workload_.config.num_keywords, config.seed),
       user_rng_(config.seed ^ 0x5eed0f0e125eedULL) {
   SSA_CHECK(strategies_.size() == workload_.accounts.size());
-  bids_.resize(strategies_.size());
 }
 
-const AuctionOutcome& AuctionEngine::RunAuction() {
-  return RunAuctionOn(query_gen_.Next());
-}
-
-const AuctionOutcome& AuctionEngine::RunAuctionOn(const Query& query) {
-  const int n = static_cast<int>(strategies_.size());
-  const int k = workload_.config.num_slots;
-  const ClickModel& model = *workload_.click_model;
-  outcome_ = AuctionOutcome{};
-  outcome_.query = query;
+const AuctionOutcome& AuctionTrajectory::SettleOutcome() {
+  SettleAuction(config_.pricing, *workload_.click_model, outcome_.prices,
+                &workload_.accounts, strategies_, &user_rng_, &outcome_);
   ++auctions_run_;
-
-  // --- Step 3: program evaluation (every program, eagerly).
-  WallTimer timer;
-  for (AdvertiserId i = 0; i < n; ++i) {
-    bids_[i].Clear();
-    strategies_[i]->MakeBids(outcome_.query, workload_.accounts[i], &bids_[i]);
-  }
-  outcome_.program_eval_ms = timer.ElapsedMillis();
-
-  // --- Expected-revenue matrix (Theorem 2 construction) over compiled
-  // bids. Tables whose content fingerprint is unchanged since the last
-  // auction reuse their cached compilation; the build itself streams over
-  // the flat rows (optionally across config_.matrix_pool).
-  timer.Reset();
-  compiled_view_.clear();
-  for (AdvertiserId i = 0; i < n; ++i) {
-    compiled_view_.push_back(&bid_cache_.Get(i, bids_[i], k));
-  }
-  const RevenueMatrix revenue =
-      BuildRevenueMatrixCompiled(compiled_view_, model, config_.matrix_pool);
-  outcome_.matrix_ms = timer.ElapsedMillis();
-
-  // --- Step 4: winner determination.
-  timer.Reset();
-  outcome_.wd = DetermineWinners(revenue, config_.wd_method);
-  outcome_.wd_ms = timer.ElapsedMillis();
-
-  // --- Step 6 prep: prices.
-  timer.Reset();
-  outcome_.prices =
-      ComputePrices(config_.pricing, revenue, model, outcome_.wd.allocation);
-  outcome_.pricing_ms = timer.ElapsedMillis();
-
-  // --- Step 5: user action simulation, then charging and accounting.
-  SettleAuction(config_.pricing, model, outcome_.prices, &workload_.accounts,
-                strategies_, &user_rng_, &outcome_);
   total_revenue_ += outcome_.revenue_charged;
   return outcome_;
 }
 
-void AuctionEngine::WhatIfAuction(const Query& query,
-                                  AuctionOutcome* outcome) const {
-  const int n = static_cast<int>(strategies_.size());
-  const int k = workload_.config.num_slots;
-  const ClickModel& model = *workload_.click_model;
-  *outcome = AuctionOutcome{};
-  outcome->query = query;
-
-  // Local scratch throughout: the engine's reusable buffers (bids_,
-  // bid_cache_, compiled_view_, outcome_) belong to the mutating path.
-  WallTimer timer;
-  std::vector<BidsTable> bids(n);
-  for (AdvertiserId i = 0; i < n; ++i) {
-    strategies_[i]->PeekBids(query, workload_.accounts[i], &bids[i]);
-  }
-  outcome->program_eval_ms = timer.ElapsedMillis();
-
-  timer.Reset();
-  CompiledBidsCache cache;
-  cache.Reserve(static_cast<size_t>(n));
-  std::vector<const CompiledBids*> compiled;
-  compiled.reserve(n);
-  for (AdvertiserId i = 0; i < n; ++i) {
-    compiled.push_back(&cache.Get(i, bids[i], k));
-  }
-  const RevenueMatrix revenue =
-      BuildRevenueMatrixCompiled(compiled, model, /*pool=*/nullptr);
-  outcome->matrix_ms = timer.ElapsedMillis();
-
-  timer.Reset();
-  outcome->wd = DetermineWinners(revenue, config_.wd_method);
-  outcome->wd_ms = timer.ElapsedMillis();
-
-  timer.Reset();
-  outcome->prices =
-      ComputePrices(config_.pricing, revenue, model, outcome->wd.allocation);
-  outcome->pricing_ms = timer.ElapsedMillis();
-}
-
-void AuctionEngine::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
+void AuctionTrajectory::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
   *ckpt = EngineCheckpoint{};
   ckpt->seq = static_cast<uint64_t>(auctions_run_);
   ckpt->total_revenue = total_revenue_;
@@ -171,10 +88,14 @@ void AuctionEngine::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
   for (size_t i = 0; i < strategies_.size(); ++i) {
     strategies_[i]->SaveState(&ckpt->strategy_state[i]);
   }
-  ckpt->cache_keys = bid_cache_.ExportKeys();
+  // Keys are indexed by global advertiser id and padded to the population,
+  // so the image does not depend on which engine (or shard layout) wrote it
+  // nor on how many advertisers its cache has seen yet.
+  ckpt->cache_keys = checkpoint_cache_->ExportKeys();
+  ckpt->cache_keys.resize(strategies_.size());
 }
 
-Status AuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
+Status AuctionTrajectory::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   const size_t n = strategies_.size();
   if (ckpt.num_advertisers != static_cast<int32_t>(n) ||
       ckpt.num_slots != workload_.config.num_slots ||
@@ -193,21 +114,106 @@ Status AuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   query_gen_.RestoreState(ckpt.query_gen);
   auctions_run_ = static_cast<int64_t>(ckpt.seq);
   total_revenue_ = ckpt.total_revenue;
-  bid_cache_.PrimeExpectedKeys(ckpt.cache_keys);
+  checkpoint_cache_->PrimeExpectedKeys(ckpt.cache_keys);
   outcome_ = AuctionOutcome{};
   return Status::Ok();
 }
 
-Status AuctionEngine::WriteCheckpoint(const std::string& path) const {
+Status AuctionTrajectory::WriteCheckpoint(const std::string& path) const {
   EngineCheckpoint ckpt;
   CaptureCheckpoint(&ckpt);
   return WriteCheckpointFile(path, ckpt);
 }
 
-Status AuctionEngine::RestoreFromCheckpoint(const std::string& path) {
+Status AuctionTrajectory::RestoreFromCheckpoint(const std::string& path) {
   EngineCheckpoint ckpt;
   SSA_RETURN_IF_ERROR(ReadCheckpointFile(path, &ckpt));
   return RestoreCheckpoint(ckpt);
+}
+
+AuctionEngine::AuctionEngine(
+    const EngineConfig& config, Workload workload,
+    std::vector<std::unique_ptr<BiddingStrategy>> strategies)
+    : AuctionTrajectory(config, std::move(workload), std::move(strategies)) {
+  bids_.resize(strategies_.size());
+  checkpoint_cache_ = &bid_cache_;
+}
+
+const AuctionOutcome& AuctionEngine::RunAuction() {
+  return RunAuctionOn(query_gen_.Next());
+}
+
+const AuctionOutcome& AuctionEngine::RunAuctionOn(const Query& query) {
+  const int n = static_cast<int>(strategies_.size());
+  outcome_ = AuctionOutcome{};
+  outcome_.query = query;
+
+  // --- Step 3: program evaluation (every program, eagerly).
+  WallTimer timer;
+  for (AdvertiserId i = 0; i < n; ++i) {
+    bids_[i].Clear();
+    strategies_[i]->MakeBids(outcome_.query, workload_.accounts[i], &bids_[i]);
+  }
+  outcome_.program_eval_ms = timer.ElapsedMillis();
+
+  // Tables whose content fingerprint is unchanged since the last auction
+  // reuse their cached compilation.
+  PlanBids(bids_, &bid_cache_, &compiled_view_, &outcome_);
+
+  // --- Step 5: user action simulation, then charging and accounting.
+  return SettleOutcome();
+}
+
+void AuctionEngine::WhatIfAuction(const Query& query,
+                                  AuctionOutcome* outcome) const {
+  const int n = static_cast<int>(strategies_.size());
+  *outcome = AuctionOutcome{};
+  outcome->query = query;
+
+  // Local scratch throughout: the engine's reusable buffers (bids_,
+  // bid_cache_, compiled_view_, outcome_) belong to the mutating path.
+  WallTimer timer;
+  std::vector<BidsTable> bids(n);
+  for (AdvertiserId i = 0; i < n; ++i) {
+    strategies_[i]->PeekBids(query, workload_.accounts[i], &bids[i]);
+  }
+  outcome->program_eval_ms = timer.ElapsedMillis();
+
+  CompiledBidsCache cache;
+  cache.Reserve(static_cast<size_t>(n));
+  std::vector<const CompiledBids*> compiled;
+  PlanBids(bids, &cache, &compiled, outcome);
+}
+
+void AuctionEngine::PlanBids(const std::vector<BidsTable>& bids,
+                             CompiledBidsCache* cache,
+                             std::vector<const CompiledBids*>* compiled,
+                             AuctionOutcome* outcome) const {
+  const int n = static_cast<int>(bids.size());
+  const int k = workload_.config.num_slots;
+  const ClickModel& model = *workload_.click_model;
+
+  // --- Expected-revenue matrix (Theorem 2 construction) over compiled
+  // bids; the build streams over the flat rows.
+  WallTimer timer;
+  compiled->clear();
+  compiled->reserve(n);
+  for (AdvertiserId i = 0; i < n; ++i) {
+    compiled->push_back(&cache->Get(i, bids[i], k));
+  }
+  const RevenueMatrix revenue = BuildRevenueMatrixCompiled(*compiled, model);
+  outcome->matrix_ms = timer.ElapsedMillis();
+
+  // --- Step 4: winner determination.
+  timer.Reset();
+  outcome->wd = DetermineWinners(revenue, config_.wd_method);
+  outcome->wd_ms = timer.ElapsedMillis();
+
+  // --- Step 6 prep: prices.
+  timer.Reset();
+  outcome->prices =
+      ComputePrices(config_.pricing, revenue, model, outcome->wd.allocation);
+  outcome->pricing_ms = timer.ElapsedMillis();
 }
 
 }  // namespace ssa

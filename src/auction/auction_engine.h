@@ -2,6 +2,7 @@
 #define SSA_AUCTION_AUCTION_ENGINE_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "auction/pricing.h"
@@ -14,7 +15,6 @@
 
 namespace ssa {
 
-class ThreadPool;
 struct EngineCheckpoint;
 
 /// What happened to one filled slot after the page was served.
@@ -58,10 +58,6 @@ struct EngineConfig {
   /// Seed for the query stream and user-behavior simulation (independent of
   /// the workload seed so populations and traffic vary separately).
   uint64_t seed = 42;
-  /// Optional (non-owning) pool for the revenue-matrix build: advertiser
-  /// row blocks are filled in parallel. Output is identical either way
-  /// (disjoint rows, bitwise-deterministic kernels).
-  ThreadPool* matrix_pool = nullptr;
 };
 
 /// Steps 5/6 of the lifecycle, shared by AuctionEngine and
@@ -77,15 +73,78 @@ void SettleAuction(PricingRule pricing, const ClickModel& model,
                    const std::vector<std::unique_ptr<BiddingStrategy>>& strategies,
                    Rng* user_rng, AuctionOutcome* outcome);
 
+/// The state one auction trajectory advances, shared by AuctionEngine and
+/// ShardedAuctionEngine: the workload and its accounts, the strategies, the
+/// query stream and user RNG (both seeded from EngineConfig::seed), the
+/// auction counter, the revenue accumulator and the last settled outcome.
+/// It owns the code over exactly that state — the settle tail, the
+/// accessors and checkpoint capture/restore — so the two engines differ
+/// only in how they plan an auction (bids, compile, matrix, winner
+/// determination, prices) and cannot drift apart in what they persist.
+class AuctionTrajectory {
+ public:
+  AuctionTrajectory(const AuctionTrajectory&) = delete;
+  AuctionTrajectory& operator=(const AuctionTrajectory&) = delete;
+
+  const std::vector<AdvertiserAccount>& accounts() const {
+    return workload_.accounts;
+  }
+  const Workload& workload() const { return workload_; }
+  const AuctionOutcome& last_outcome() const { return outcome_; }
+  int64_t auctions_run() const { return auctions_run_; }
+  Money total_revenue() const { return total_revenue_; }
+
+  /// Durability hooks (src/durability/): snapshot / rewind the complete
+  /// trajectory state — accounts, both RNG streams, auction counter, revenue
+  /// accumulator, strategy blobs, compiled-bids cache keys (one per
+  /// advertiser, by global id). An engine restored from a checkpoint
+  /// continues bitwise-identically to the uninterrupted run. The image does
+  /// not depend on which engine or shard layout wrote it, so either engine
+  /// restores the other's checkpoints. Restore requires an engine built from
+  /// the same workload shape and strategy lineup and fails without partial
+  /// effects on shape mismatches (strategy-blob errors surface per
+  /// strategy).
+  void CaptureCheckpoint(EngineCheckpoint* ckpt) const;
+  Status RestoreCheckpoint(const EngineCheckpoint& ckpt);
+  /// File forms: versioned, CRC-guarded, atomically replaced on write.
+  Status WriteCheckpoint(const std::string& path) const;
+  Status RestoreFromCheckpoint(const std::string& path);
+
+ protected:
+  AuctionTrajectory(const EngineConfig& config, Workload workload,
+                    std::vector<std::unique_ptr<BiddingStrategy>> strategies);
+
+  /// Steps 5/6 on outcome_, whose query, allocation and prices the engine
+  /// has planned: simulates user actions, charges winners, updates accounts,
+  /// delivers outcome notifications, and folds the auction into the counter
+  /// and revenue totals.
+  const AuctionOutcome& SettleOutcome();
+
+  EngineConfig config_;
+  Workload workload_;
+  std::vector<std::unique_ptr<BiddingStrategy>> strategies_;
+  QueryGenerator query_gen_;
+  Rng user_rng_;
+  AuctionOutcome outcome_;
+  int64_t auctions_run_ = 0;
+  Money total_revenue_ = 0;
+  /// The engine's compiled-bids cache whose keys checkpoints persist and
+  /// restores prime; set by the derived constructor (engines are neither
+  /// copied nor moved, so the pointer stays valid).
+  CompiledBidsCache* checkpoint_cache_ = nullptr;
+};
+
 /// The eager auction engine: every advertiser's bidding program runs on
 /// every auction (the baseline Section IV improves on). One RunAuction()
 /// performs the full lifecycle — user search, program evaluation, winner
-/// determination, user action simulation, pricing and accounting.
+/// determination, user action simulation, pricing and accounting. It is the
+/// serial oracle the sharded engine and the serving stack are checked
+/// against, so its planning never goes through shard code.
 ///
 /// The RHTALU engine (strategy/logical_roi.h) implements the same lifecycle
 /// with the Threshold Algorithm + logical updates and is observably
 /// equivalent given equal seeds.
-class AuctionEngine {
+class AuctionEngine : public AuctionTrajectory {
  public:
   AuctionEngine(const EngineConfig& config, Workload workload,
                 std::vector<std::unique_ptr<BiddingStrategy>> strategies);
@@ -111,44 +170,24 @@ class AuctionEngine {
   /// read path holds its apply mutex across this.
   void WhatIfAuction(const Query& query, AuctionOutcome* outcome) const;
 
-  const std::vector<AdvertiserAccount>& accounts() const {
-    return workload_.accounts;
-  }
-  const Workload& workload() const { return workload_; }
-  const AuctionOutcome& last_outcome() const { return outcome_; }
-  int64_t auctions_run() const { return auctions_run_; }
-  Money total_revenue() const { return total_revenue_; }
   /// Compiled-bids cache stats: strategies usually re-emit identical tables
   /// for a keyword, so most auctions skip recompilation entirely.
   const CompiledBidsCache& bid_cache() const { return bid_cache_; }
 
-  /// Durability hooks (src/durability/): snapshot / rewind the complete
-  /// trajectory state — accounts, both RNG streams, auction counter, revenue
-  /// accumulator, strategy blobs, compiled-bids cache keys. An engine
-  /// restored from a checkpoint continues bitwise-identically to the
-  /// uninterrupted run. Restore requires an engine built from the same
-  /// workload shape and strategy lineup and fails without partial effects on
-  /// shape mismatches (strategy-blob errors surface per strategy).
-  void CaptureCheckpoint(EngineCheckpoint* ckpt) const;
-  Status RestoreCheckpoint(const EngineCheckpoint& ckpt);
-  /// File forms: versioned, CRC-guarded, atomically replaced on write.
-  Status WriteCheckpoint(const std::string& path) const;
-  Status RestoreFromCheckpoint(const std::string& path);
-
  private:
-  EngineConfig config_;
-  Workload workload_;
-  std::vector<std::unique_ptr<BiddingStrategy>> strategies_;
-  QueryGenerator query_gen_;
-  Rng user_rng_;
+  /// The plan step both RunAuctionOn and WhatIfAuction run on emitted
+  /// `bids`: compile through `cache`, build the expected-revenue matrix,
+  /// determine winners and price them into `*outcome` (matrix_ms, wd_ms and
+  /// pricing_ms timed). Writes only `cache`, `compiled` and `*outcome`.
+  void PlanBids(const std::vector<BidsTable>& bids, CompiledBidsCache* cache,
+                std::vector<const CompiledBids*>* compiled,
+                AuctionOutcome* outcome) const;
+
   std::vector<BidsTable> bids_;  // reused across auctions
   /// Compiled form of bids_, cached across auctions keyed on content
   /// fingerprint (strategies that leave a table unchanged hit the cache).
   CompiledBidsCache bid_cache_;
   std::vector<const CompiledBids*> compiled_view_;  // reused across auctions
-  AuctionOutcome outcome_;
-  int64_t auctions_run_ = 0;
-  Money total_revenue_ = 0;
 };
 
 }  // namespace ssa

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/expected_revenue.h"
-#include "durability/checkpoint.h"
 #include "core/parallel_topk.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -14,22 +13,13 @@ namespace ssa {
 ShardedAuctionEngine::ShardedAuctionEngine(
     const ShardedEngineConfig& config, Workload workload,
     std::vector<std::unique_ptr<BiddingStrategy>> strategies)
-    : config_(config),
-      workload_(std::move(workload)),
-      strategies_(std::move(strategies)),
-      query_gen_(workload_.config.num_keywords, config.engine.seed),
-      user_rng_(config.engine.seed ^ 0x5eed0f0e125eedULL),
+    : AuctionTrajectory(config.engine, std::move(workload),
+                        std::move(strategies)),
+      pool_(config.pool),
       cost_model_(static_cast<int>(strategies_.size()), config.cost_model) {
-  SSA_CHECK(strategies_.size() == workload_.accounts.size());
-  // The sharded engine replaces row-block matrix parallelism with
-  // whole-shard tasks; a configured matrix_pool would be silently dropped,
-  // so reject the misconfiguration instead (use ShardedEngineConfig::pool).
-  SSA_CHECK_MSG(config_.engine.matrix_pool == nullptr,
-                "ShardedEngineConfig: engine.matrix_pool is not used by the "
-                "sharded engine; set ShardedEngineConfig::pool instead");
   const int n = static_cast<int>(strategies_.size());
-  SSA_CHECK(config_.num_shards >= 1);
-  const int num_shards = std::min(config_.num_shards, std::max(1, n));
+  SSA_CHECK(config.num_shards >= 1);
+  const int num_shards = std::min(config.num_shards, std::max(1, n));
   ranges_.resize(num_shards);
   for (int s = 0; s < num_shards; ++s) {
     // Same balanced contiguous partition as the Section III-E tree leaves.
@@ -43,7 +33,8 @@ ShardedAuctionEngine::ShardedAuctionEngine(
   internal_lane_ = NewPlanLane();
   // The internal lane is the engine's only lane on the RunAuctionOn path, so
   // intra-query shard parallelism is the right use of the pool there.
-  internal_lane_->pool = config_.pool;
+  internal_lane_->pool = pool_;
+  checkpoint_cache_ = &internal_lane_->cache;
 }
 
 std::unique_ptr<ShardedAuctionEngine::PlanLane>
@@ -84,11 +75,11 @@ void ShardedAuctionEngine::CaptureBids(const Query& query, CapturedBids* bids,
     }
   };
   const int num_shards = static_cast<int>(ranges_.size());
-  if (config_.pool != nullptr && num_shards > 1) {
+  if (pool_ != nullptr && num_shards > 1) {
     // Strategies of different advertisers share no state (Section II-B), so
     // the capture fans out across shards; only captures of *distinct
     // queries* must serialize.
-    config_.pool->ParallelFor(num_shards, capture_range);
+    pool_->ParallelFor(num_shards, capture_range);
   } else {
     for (int s = 0; s < num_shards; ++s) capture_range(s);
   }
@@ -210,8 +201,8 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
     lane->shards.clear();
     lane->shards.resize(ranges_.size());
   }
-  plan->outcome = AuctionOutcome{};
-  plan->outcome.query = query;
+  *plan = AuctionOutcome{};
+  plan->query = query;
 
   // --- Shard phase: compile + the Theorem 2 matrix, fused, share-nothing.
   // Shards touch disjoint caches, heaps, and matrix rows, so the pool
@@ -219,8 +210,7 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
   WallTimer timer;
   RevenueMatrix& revenue = lane->revenue;
   revenue.Reset(n, k);
-  const bool reduced =
-      config_.engine.wd_method == WdMethod::kReducedHungarian;
+  const bool reduced = config_.wd_method == WdMethod::kReducedHungarian;
   const int num_shards = static_cast<int>(ranges_.size());
   const bool traced = tracer_ != nullptr && trace_seq != 0;
   auto plan_shard = [&](int s) {
@@ -237,38 +227,36 @@ void ShardedAuctionEngine::PlanCaptured(const Query& query,
   } else {
     for (int s = 0; s < num_shards; ++s) plan_shard(s);
   }
-  plan->outcome.program_eval_ms = timer.ElapsedMillis();
+  plan->matrix_ms = timer.ElapsedMillis();
 
   // --- Step 4: winner determination. The reduced method consumes the
   // merged shard candidates; the dense methods see the full matrix.
   timer.Reset();
   if (reduced) {
-    plan->outcome.wd = SolveOnCandidates(revenue,
-                                         MergeShardCandidates(lane, n, k));
+    plan->wd = SolveOnCandidates(revenue, MergeShardCandidates(lane, n, k));
   } else {
-    plan->outcome.wd = DetermineWinners(revenue, config_.engine.wd_method);
+    plan->wd = DetermineWinners(revenue, config_.wd_method);
   }
-  plan->outcome.wd_ms = timer.ElapsedMillis();
+  plan->wd_ms = timer.ElapsedMillis();
 
   // --- Step 6 prep: prices.
   timer.Reset();
-  plan->prices = ComputePrices(config_.engine.pricing, revenue, model,
-                               plan->outcome.wd.allocation);
-  plan->outcome.pricing_ms = timer.ElapsedMillis();
+  plan->prices =
+      ComputePrices(config_.pricing, revenue, model, plan->wd.allocation);
+  plan->pricing_ms = timer.ElapsedMillis();
 }
 
 void ShardedAuctionEngine::PlanAuction(const Query& query,
                                        PlannedAuction* plan,
                                        uint64_t trace_seq) {
-  // Capture (Step 3, order-dependent) then plan on the internal lane. The
-  // reported program_eval_ms spans both halves, matching the fused phase the
-  // pre-lane engine timed.
+  // Capture (Step 3, order-dependent) then plan on the internal lane;
+  // the capture is the program-evaluation layer.
   WallTimer timer;
   CaptureBids(query, &capture_scratch_, trace_seq);
   const double capture_ms = timer.ElapsedMillis();
   PlanCaptured(query, capture_scratch_, internal_lane_.get(), plan,
                trace_seq);
-  plan->outcome.program_eval_ms += capture_ms;
+  plan->program_eval_ms = capture_ms;
 }
 
 void ShardedAuctionEngine::CaptureBidsForRead(const Query& query,
@@ -288,21 +276,13 @@ void ShardedAuctionEngine::WhatIfAuction(const Query& query, PlanLane* lane,
   CaptureBidsForRead(query, &lane->peek_capture);
   const double capture_ms = timer.ElapsedMillis();
   PlanCaptured(query, lane->peek_capture, lane, plan);
-  plan->outcome.program_eval_ms += capture_ms;
+  plan->program_eval_ms = capture_ms;
 }
 
 const AuctionOutcome& ShardedAuctionEngine::SettlePlanned(
     PlannedAuction* plan) {
-  const ClickModel& model = *workload_.click_model;
-  outcome_ = std::move(plan->outcome);
-  outcome_.prices = std::move(plan->prices);
-  ++auctions_run_;
-
-  // --- Step 5: user action simulation, charging, accounting, notifications.
-  SettleAuction(config_.engine.pricing, model, outcome_.prices,
-                &workload_.accounts, strategies_, &user_rng_, &outcome_);
-  total_revenue_ += outcome_.revenue_charged;
-  return outcome_;
+  outcome_ = std::move(*plan);
+  return SettleOutcome();
 }
 
 ShardedAuctionEngine::ShardStats ShardedAuctionEngine::shard_stats(
@@ -384,65 +364,6 @@ int64_t ShardedAuctionEngine::cache_misses() const {
 
 int64_t ShardedAuctionEngine::verified_recompiles() const {
   return internal_lane_->cache.verified_recompiles();
-}
-
-void ShardedAuctionEngine::CaptureCheckpoint(EngineCheckpoint* ckpt) const {
-  *ckpt = EngineCheckpoint{};
-  ckpt->seq = static_cast<uint64_t>(auctions_run_);
-  ckpt->total_revenue = total_revenue_;
-  user_rng_.SaveState(ckpt->user_rng);
-  ckpt->query_gen = query_gen_.SaveState();
-  ckpt->num_advertisers = static_cast<int32_t>(strategies_.size());
-  ckpt->num_slots = workload_.config.num_slots;
-  ckpt->num_keywords = workload_.config.num_keywords;
-  ckpt->accounts = workload_.accounts;
-  ckpt->strategy_state.resize(strategies_.size());
-  for (size_t i = 0; i < strategies_.size(); ++i) {
-    strategies_[i]->SaveState(&ckpt->strategy_state[i]);
-  }
-  // The lane cache keys by global advertiser id, so its key snapshot is
-  // already portable across shard layouts. Only the internal lane's cache
-  // persists — external PlanLanes are scratch.
-  ckpt->cache_keys = internal_lane_->cache.ExportKeys();
-  ckpt->cache_keys.resize(strategies_.size());
-}
-
-Status ShardedAuctionEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
-  const size_t n = strategies_.size();
-  if (ckpt.num_advertisers != static_cast<int32_t>(n) ||
-      ckpt.num_slots != workload_.config.num_slots ||
-      ckpt.num_keywords != workload_.config.num_keywords) {
-    return Status::InvalidArgument(
-        "checkpoint workload shape does not match this engine");
-  }
-  if (ckpt.accounts.size() != n || ckpt.strategy_state.size() != n) {
-    return Status::InvalidArgument("checkpoint population size mismatch");
-  }
-  for (size_t i = 0; i < n; ++i) {
-    SSA_RETURN_IF_ERROR(strategies_[i]->RestoreState(ckpt.strategy_state[i]));
-  }
-  workload_.accounts = ckpt.accounts;
-  user_rng_.RestoreState(ckpt.user_rng);
-  query_gen_.RestoreState(ckpt.query_gen);
-  auctions_run_ = static_cast<int64_t>(ckpt.seq);
-  total_revenue_ = ckpt.total_revenue;
-  // Cache keys are global-id indexed on both sides, so a checkpoint written
-  // under one shard layout restores under any other.
-  internal_lane_->cache.PrimeExpectedKeys(ckpt.cache_keys);
-  outcome_ = AuctionOutcome{};
-  return Status::Ok();
-}
-
-Status ShardedAuctionEngine::WriteCheckpoint(const std::string& path) const {
-  EngineCheckpoint ckpt;
-  CaptureCheckpoint(&ckpt);
-  return WriteCheckpointFile(path, ckpt);
-}
-
-Status ShardedAuctionEngine::RestoreFromCheckpoint(const std::string& path) {
-  EngineCheckpoint ckpt;
-  SSA_RETURN_IF_ERROR(ReadCheckpointFile(path, &ckpt));
-  return RestoreCheckpoint(ckpt);
 }
 
 }  // namespace ssa

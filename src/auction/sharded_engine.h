@@ -2,7 +2,6 @@
 #define SSA_AUCTION_SHARDED_ENGINE_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "auction/auction_engine.h"
@@ -21,14 +20,10 @@
 namespace ssa {
 
 class ThreadPool;
-struct EngineCheckpoint;
 
 /// Configuration of the sharded engine: the base engine knobs (winner
 /// determination, pricing, seed) plus the shard count and the pool the
-/// shards run on. `engine.matrix_pool` must be null — sharding replaces the
-/// row-block parallelism with whole-shard tasks, and a configured pool that
-/// silently did nothing would misrepresent the measured setup, so
-/// construction rejects it loudly.
+/// shards run on.
 struct ShardedEngineConfig {
   EngineConfig engine;
   /// Number of shards K the advertiser population is partitioned into
@@ -54,7 +49,8 @@ struct ShardedEngineConfig {
 /// and selects its local per-slot top-k candidates into a TopKHeapSet. The
 /// coordinator merges the K partial top-k sets (top-k of a union equals the
 /// top-k of the per-part top-k's under the strict (weight, id) order), runs
-/// the reduced matching, and settles the auction exactly like AuctionEngine.
+/// the reduced matching, and settles the auction through the same
+/// AuctionTrajectory code as AuctionEngine.
 ///
 /// Determinism contract: with equal seeds and workloads, every auction's
 /// allocation, prices, user events, and account balances are bitwise
@@ -81,14 +77,14 @@ struct ShardedEngineConfig {
 /// patterns under different schedules, but compilation is a pure function
 /// of (table, num_slots), so plans are bitwise-identical for any lane
 /// count, assignment, or cache history (serving_test pins this).
-class ShardedAuctionEngine {
+class ShardedAuctionEngine : public AuctionTrajectory {
  public:
   ShardedAuctionEngine(const ShardedEngineConfig& config, Workload workload,
                        std::vector<std::unique_ptr<BiddingStrategy>> strategies);
 
-  /// Runs one complete auction and returns its record. The fused shard
-  /// phase (program evaluation + compile + matrix rows + local top-k) is
-  /// reported as program_eval_ms; matrix_ms stays 0.
+  /// Runs one complete auction and returns its record. Layers land in the
+  /// same fields as AuctionEngine's: the bid capture in program_eval_ms, the
+  /// shard phase (compile + matrix rows + local top-k) in matrix_ms.
   const AuctionOutcome& RunAuction();
 
   /// Runs one complete auction on an externally supplied query (the serving
@@ -97,13 +93,11 @@ class ShardedAuctionEngine {
   const AuctionOutcome& RunAuctionOn(const Query& query);
 
   /// The provider-side half of one auction, detached from its settlement —
-  /// the unit the micro-batching AuctionServer schedules. A plan holds
-  /// everything settlement needs; it touches no account, strategy-outcome,
-  /// or user-RNG state until SettlePlanned applies it.
-  struct PlannedAuction {
-    AuctionOutcome outcome;      // query, wd, per-phase timings; events empty
-    std::vector<Money> prices;   // per-slot charges for the allocation
-  };
+  /// the unit the micro-batching AuctionServer schedules: an outcome whose
+  /// query, allocation, prices and per-phase timings are filled and whose
+  /// events are still empty. It touches no account, strategy-outcome, or
+  /// user-RNG state until SettlePlanned applies it.
+  using PlannedAuction = AuctionOutcome;
 
   /// One auction's bid emission, snapshotted: entry i is advertiser i's
   /// BidsTable for the query, exactly as MakeBids produced it. Owning the
@@ -237,13 +231,6 @@ class ShardedAuctionEngine {
   /// throughput (bids within the batch see batch-start account state).
   const AuctionOutcome& SettlePlanned(PlannedAuction* plan);
 
-  const std::vector<AdvertiserAccount>& accounts() const {
-    return workload_.accounts;
-  }
-  const Workload& workload() const { return workload_; }
-  const AuctionOutcome& last_outcome() const { return outcome_; }
-  int64_t auctions_run() const { return auctions_run_; }
-  Money total_revenue() const { return total_revenue_; }
   int num_shards() const { return static_cast<int>(ranges_.size()); }
   const std::vector<ShardRange>& shard_ranges() const { return ranges_; }
 
@@ -306,16 +293,6 @@ class ShardedAuctionEngine {
   /// key, summed over all shards.
   int64_t verified_recompiles() const;
 
-  /// Durability hooks — same contract and file format as AuctionEngine's:
-  /// the checkpoint is shard-layout-independent (cache keys are stored by
-  /// global advertiser id), so a K-shard engine restores a checkpoint taken
-  /// by a single engine or any other shard count, and vice versa. External
-  /// PlanLane caches are scratch: never checkpointed, rebuilt on demand.
-  void CaptureCheckpoint(EngineCheckpoint* ckpt) const;
-  Status RestoreCheckpoint(const EngineCheckpoint& ckpt);
-  Status WriteCheckpoint(const std::string& path) const;
-  Status RestoreFromCheckpoint(const std::string& path);
-
  private:
   /// The share-nothing per-shard unit of the pure planning half: compiled-
   /// bids lookups (disjoint entries of the lane's shared cache),
@@ -343,13 +320,11 @@ class ShardedAuctionEngine {
   /// flat re-offer to the tree network.
   static constexpr int kTreeMergeMinShards = 8;
 
-  ShardedEngineConfig config_;
-  Workload workload_;
+  /// ShardedEngineConfig::pool: the capture fan-out and the internal lane's
+  /// shard phase run on it (not owned; null = sequential).
+  ThreadPool* pool_ = nullptr;
   /// Span sink for per-shard capture/plan slices (not owned; null = off).
   Tracer* tracer_ = nullptr;
-  std::vector<std::unique_ptr<BiddingStrategy>> strategies_;
-  QueryGenerator query_gen_;
-  Rng user_rng_;
   /// Advertisers [begin, end) per shard — shared read-only by every lane
   /// while any plan is in flight; rewritten only by Repartition.
   std::vector<ShardRange> ranges_;
@@ -361,14 +336,12 @@ class ShardedAuctionEngine {
   /// input. Indexed like ranges_; the capture fan-out writes disjoint
   /// entries, and Repartition (which owns the layout) resets it.
   std::vector<int64_t> capture_ns_;
-  /// The engine's own lane (PlanAuction / RunAuctionOn path); its caches
-  /// are the ones checkpoints persist and shard_stats reports.
+  /// The engine's own lane (PlanAuction / RunAuctionOn path); its cache is
+  /// the one checkpoints persist and shard_stats reports. External PlanLane
+  /// caches are scratch: never checkpointed, rebuilt on demand.
   std::unique_ptr<PlanLane> internal_lane_;
   CapturedBids capture_scratch_;  // PlanAuction's capture, reused
   PlannedAuction plan_scratch_;   // RunAuctionOn's plan, reused
-  AuctionOutcome outcome_;
-  int64_t auctions_run_ = 0;
-  Money total_revenue_ = 0;
 };
 
 }  // namespace ssa

@@ -6,7 +6,6 @@
 
 #include "auction/auction_engine.h"
 #include "strategy/roi_strategy.h"
-#include "util/thread_pool.h"
 
 namespace ssa {
 namespace {
@@ -202,30 +201,6 @@ TEST(AuctionEngineTest, CompiledBidsCacheInvalidatesOnBidChanges) {
   // one — but unchanged tables must still hit.
   EXPECT_GT(engine.bid_cache().misses(), workload.config.num_advertisers);
   EXPECT_GT(engine.bid_cache().hits(), 0);
-}
-
-TEST(AuctionEngineTest, ParallelMatrixBuildMatchesSerial) {
-  Workload w1 = MakePaperWorkload(SmallConfig(17));
-  Workload w2 = MakePaperWorkload(SmallConfig(17));
-  EngineConfig serial_config;
-  serial_config.seed = 5;
-  EngineConfig parallel_config;
-  parallel_config.seed = 5;
-  ThreadPool pool(3);
-  parallel_config.matrix_pool = &pool;
-  AuctionEngine serial(serial_config, w1, RoiStrategies(w1));
-  AuctionEngine parallel(parallel_config, w2, RoiStrategies(w2));
-  for (int t = 0; t < 100; ++t) {
-    const AuctionOutcome& a = serial.RunAuction();
-    const AuctionOutcome& b = parallel.RunAuction();
-    EXPECT_EQ(a.revenue_charged, b.revenue_charged);
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (size_t e = 0; e < a.events.size(); ++e) {
-      EXPECT_EQ(a.events[e].advertiser, b.events[e].advertiser);
-      EXPECT_EQ(a.events[e].slot, b.events[e].slot);
-      EXPECT_EQ(a.events[e].charged, b.events[e].charged);
-    }
-  }
 }
 
 TEST(AuctionEngineTest, PurchasePathEndToEnd) {

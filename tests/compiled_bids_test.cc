@@ -215,13 +215,26 @@ TEST(BuildRevenueMatrixTest, CompiledMatchesBaselineBitForBit) {
   const RevenueMatrix compiled = BuildRevenueMatrix(bids, model);
   ThreadPool pool(3);
   const RevenueMatrix parallel = BuildRevenueMatrix(bids, model, &pool);
+  // The cached-rows build over pre-compiled tables, with row blocks filled
+  // on the pool (bench_matrix_build's pooled path).
+  std::vector<CompiledBids> precompiled;
+  precompiled.reserve(n);
+  std::vector<const CompiledBids*> view;
+  for (int i = 0; i < n; ++i) {
+    precompiled.push_back(CompiledBids::Compile(bids[i], k));
+    view.push_back(&precompiled.back());
+  }
+  const RevenueMatrix cached_parallel =
+      BuildRevenueMatrixCompiled(view, model, &pool);
 
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(compiled.AtUnassigned(i), baseline.AtUnassigned(i));
     EXPECT_EQ(parallel.AtUnassigned(i), baseline.AtUnassigned(i));
+    EXPECT_EQ(cached_parallel.AtUnassigned(i), baseline.AtUnassigned(i));
     for (int j = 0; j < k; ++j) {
       EXPECT_EQ(compiled.At(i, j), baseline.At(i, j)) << i << "," << j;
       EXPECT_EQ(parallel.At(i, j), baseline.At(i, j)) << i << "," << j;
+      EXPECT_EQ(cached_parallel.At(i, j), baseline.At(i, j)) << i << "," << j;
     }
   }
 }

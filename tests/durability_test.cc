@@ -387,6 +387,44 @@ TEST(CheckpointTest, CheckpointIsPortableAcrossShardLayouts) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointTest, BothEnginesWriteByteIdenticalCheckpoints) {
+  // One capture path: the serial engine and a K-shard engine running the
+  // same trajectory write the same checkpoint file, byte for byte —
+  // including at seq 0, before either compiled-bids cache has seen a table.
+  const std::string single_path = TempPath("ckpt_bytes_single");
+  const std::string sharded_path = TempPath("ckpt_bytes_sharded");
+  for (const int num_shards : {1, 4}) {
+    Workload w = MakePaperWorkload(SmallConfig(37));
+    EngineConfig config;
+    config.seed = 41;
+    AuctionEngine single(config, w, RoiStrategies(w));
+    ShardedEngineConfig sharded_config;
+    sharded_config.engine = config;
+    sharded_config.num_shards = num_shards;
+    ShardedAuctionEngine sharded(sharded_config, w, RoiStrategies(w));
+
+    int seq = 0;
+    for (const int at : {0, 1, 30}) {
+      for (; seq < at; ++seq) {
+        single.RunAuction();
+        sharded.RunAuction();
+      }
+      ASSERT_TRUE(single.WriteCheckpoint(single_path).ok());
+      ASSERT_TRUE(sharded.WriteCheckpoint(sharded_path).ok());
+      std::string single_bytes;
+      std::string sharded_bytes;
+      ASSERT_TRUE(ReadFileToString(single_path, &single_bytes).ok());
+      ASSERT_TRUE(ReadFileToString(sharded_path, &sharded_bytes).ok());
+      EXPECT_EQ(single_bytes.size(), sharded_bytes.size())
+          << "K=" << num_shards << " seq=" << at;
+      EXPECT_TRUE(single_bytes == sharded_bytes)
+          << "K=" << num_shards << " seq=" << at;
+    }
+  }
+  std::remove(single_path.c_str());
+  std::remove(sharded_path.c_str());
+}
+
 TEST(CheckpointTest, CheckpointIsPortableAcrossRepartitionedLayouts) {
   // Shard-layout independence end to end: the writer runs on a *rebalanced*
   // (unequal) layout, the reader restores onto a different unequal layout

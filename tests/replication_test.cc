@@ -521,10 +521,10 @@ TEST(WhatIfAuctionTest, ShardedEngineWhatIfIsPure) {
     const Query query = gen.Next();
     ShardedAuctionEngine::PlannedAuction plan;
     probed.WhatIfAuction(query, lane.get(), &plan);
-    EXPECT_TRUE(plan.outcome.events.empty());
+    EXPECT_TRUE(plan.events.empty());
 
     const AuctionOutcome& real = control.RunAuctionOn(query);
-    EXPECT_EQ(plan.outcome.wd.allocation.slot_to_advertiser,
+    EXPECT_EQ(plan.wd.allocation.slot_to_advertiser,
               real.wd.allocation.slot_to_advertiser)
         << "auction " << i;
     EXPECT_EQ(plan.prices, real.prices) << "auction " << i;

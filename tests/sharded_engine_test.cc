@@ -363,20 +363,6 @@ TEST(ShardedEngineTest, ShardStatsExposeCostAndPhaseTime) {
   EXPECT_EQ(engine.cost_model().auctions_sampled(), 20);
 }
 
-TEST(ShardedEngineTest, RejectsMatrixPoolConfiguration) {
-  // engine.matrix_pool is the single-engine row-block knob; the sharded
-  // engine replaces it with whole-shard tasks and must fail loudly rather
-  // than silently ignore it.
-  Workload w = MakePaperWorkload(SmallConfig(109));
-  ThreadPool pool(2);
-  ShardedEngineConfig config;
-  config.engine.matrix_pool = &pool;
-  config.num_shards = 2;
-  auto strategies = RoiStrategies(w);
-  EXPECT_DEATH(ShardedAuctionEngine(config, w, std::move(strategies)),
-               "matrix_pool");
-}
-
 TEST(ShardedEngineTest, ClampsShardCountToPopulation) {
   WorkloadConfig wc = SmallConfig(47);
   wc.num_advertisers = 3;
